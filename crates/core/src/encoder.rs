@@ -27,8 +27,8 @@ use crate::attention::{batched_attention, fused_attention};
 use crate::config::BertConfig;
 use crate::weights::{LayerWeights, ModelWeights};
 use bt_device::Device;
-use bt_gemm::{gemm_kernel_spec_active, sgemm, sgemm_epilogue, GemmSpec};
-use bt_kernels::activation::{add_bias_gelu_unfused, bias_gelu_epilogue};
+use bt_gemm::{launch_gemm, Epilogue};
+use bt_kernels::activation::add_bias_gelu_unfused;
 use bt_kernels::layernorm::{add_bias_residual_layernorm_fused, add_bias_residual_layernorm_unfused};
 use bt_kernels::layout::{add_bias_split_qkv_packed, add_bias_unpack_split_qkv, merge_heads_pack};
 use bt_tensor::Tensor;
@@ -169,7 +169,7 @@ impl BertModel {
             PackingIndex::from_mask(&BatchMask::from_lens(vec![seq; batch], seq).expect("full lengths are valid"));
 
         // GEMM0: packed QKV position encoding.
-        let qkv = self.gemm(
+        let qkv = launch_gemm(
             device,
             "gemm0.qkv",
             x.as_slice(),
@@ -177,7 +177,7 @@ impl BertModel {
             w.qkv_weight.as_slice(),
             hidden,
             3 * hidden,
-            None,
+            Epilogue::None,
         );
         let qkv = Tensor::from_vec(qkv, [rows, 3 * hidden]).expect("shape consistent");
         let (q, k, v) = add_bias_unpack_split_qkv(device, &qkv, &w.qkv_bias, &full_idx, self.config.heads);
@@ -212,7 +212,7 @@ impl BertModel {
         let hidden = self.config.hidden();
         let rows = idx.valid_words();
 
-        let qkv = self.gemm(
+        let qkv = launch_gemm(
             device,
             "gemm0.qkv",
             x.as_slice(),
@@ -220,7 +220,7 @@ impl BertModel {
             w.qkv_weight.as_slice(),
             hidden,
             3 * hidden,
-            None,
+            Epilogue::None,
         );
         let qkv = Tensor::from_vec(qkv, [rows, 3 * hidden]).expect("shape consistent");
 
@@ -271,7 +271,7 @@ impl BertModel {
         let eps = self.config.eps;
 
         // GEMM1: attention output projection.
-        let mut attn = self.gemm(
+        let mut attn = launch_gemm(
             device,
             "gemm1.proj",
             &ctx,
@@ -279,7 +279,7 @@ impl BertModel {
             w.attn_out_weight.as_slice(),
             hidden,
             hidden,
-            None,
+            Epilogue::None,
         );
 
         // layernorm0: add bias + residual + LayerNorm (fused at level ≥ 2).
@@ -312,35 +312,26 @@ impl BertModel {
         }
 
         // GEMM2: FFN up-projection (+ fused bias & GELU at level ≥ 3).
-        let mut ffn = if opt.gelu_fused() {
-            let epi = bias_gelu_epilogue(&w.ffn_up_bias);
-            self.gemm(
-                device,
-                "gemm2.ffn_up",
-                &attn,
-                rows,
-                w.ffn_up_weight.as_slice(),
-                hidden,
-                inter,
-                Some(&epi),
-            )
-        } else {
-            let mut ffn = self.gemm(
-                device,
-                "gemm2.ffn_up",
-                &attn,
-                rows,
-                w.ffn_up_weight.as_slice(),
-                hidden,
-                inter,
-                None,
-            );
+        let mut ffn = launch_gemm(
+            device,
+            "gemm2.ffn_up",
+            &attn,
+            rows,
+            w.ffn_up_weight.as_slice(),
+            hidden,
+            inter,
+            if opt.gelu_fused() {
+                Epilogue::BiasGelu(&w.ffn_up_bias)
+            } else {
+                Epilogue::None
+            },
+        );
+        if !opt.gelu_fused() {
             add_bias_gelu_unfused(device, "bias_act", &mut ffn, rows, inter, &w.ffn_up_bias);
-            ffn
-        };
+        }
 
         // GEMM3: FFN down-projection.
-        let mut out = self.gemm(
+        let mut out = launch_gemm(
             device,
             "gemm3.ffn_down",
             &ffn,
@@ -348,7 +339,7 @@ impl BertModel {
             w.ffn_down_weight.as_slice(),
             inter,
             hidden,
-            None,
+            Epilogue::None,
         );
         ffn.clear();
 
@@ -381,35 +372,6 @@ impl BertModel {
             );
         }
         Tensor::from_vec(out, [rows, hidden]).expect("shape consistent")
-    }
-
-    /// Launches one of the pipeline GEMMs, with an optional fused epilogue
-    /// (used for the add-bias+GELU fusion). `a` is `rows×k`, the weight is
-    /// `k×n`.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm(
-        &self,
-        device: &Device,
-        name: &str,
-        a: &[f32],
-        rows: usize,
-        weight: &[f32],
-        k: usize,
-        n: usize,
-        epilogue: Option<&(dyn Fn(usize, f32) -> f32 + Sync)>,
-    ) -> Vec<f32> {
-        let mut out = vec![0.0f32; rows * n];
-        let mut spec = gemm_kernel_spec_active(name, rows, n, k);
-        if epilogue.is_some() {
-            // The fused element-wise tail adds its flops but no traffic —
-            // that is the entire point of epilogue fusion.
-            spec.cost.flops += (rows * n * 9) as u64;
-        }
-        device.launch(spec, || match epilogue {
-            None => sgemm(GemmSpec::nn(), rows, n, k, a, weight, &mut out),
-            Some(epi) => sgemm_epilogue(GemmSpec::nn(), rows, n, k, a, weight, &mut out, epi),
-        });
-        out
     }
 }
 

@@ -34,6 +34,7 @@
 use crate::decoder::TransformerDecoder;
 use bt_device::{Device, KernelSpec};
 use bt_gemm::grouped::{grouped_sgemm, GroupedConfig, GroupedProblem, NoEpilogue, NoTransform};
+use bt_gemm::Epilogue;
 use bt_kernels::layernorm::normalize_row;
 use bt_kernels::softmax::softmax_row;
 use bt_tensor::Tensor;
@@ -582,8 +583,11 @@ impl<'a> PagedDecoder<'a> {
 
             // --- FFN ----------------------------------------------------
             let mut up = vec![0.0f32; r * inter];
-            device.launch(bt_gemm::gemm_kernel_spec("paged.ffn_up", r, inter, hidden, 4), || {
-                bt_gemm::sgemm(
+            let epilogue = Epilogue::BiasGelu(&w.ffn_up_bias);
+            let mut spec = bt_gemm::gemm_kernel_spec("paged.ffn_up", r, inter, hidden, 4);
+            spec.cost.flops += epilogue.flops(r, inter);
+            device.launch(spec, || {
+                bt_gemm::sgemm_epilogue(
                     bt_gemm::GemmSpec::nn(),
                     r,
                     inter,
@@ -591,13 +595,9 @@ impl<'a> PagedDecoder<'a> {
                     &cattn,
                     w.ffn_up_weight.as_slice(),
                     &mut up,
+                    epilogue,
                 )
             });
-            for row in 0..r {
-                for (v, &b) in up[row * inter..(row + 1) * inter].iter_mut().zip(&w.ffn_up_bias) {
-                    *v = bt_kernels::activation::gelu_tanh(*v + b);
-                }
-            }
             let mut out = vec![0.0f32; r * hidden];
             device.launch(bt_gemm::gemm_kernel_spec("paged.ffn_down", r, hidden, inter, 4), || {
                 bt_gemm::sgemm(

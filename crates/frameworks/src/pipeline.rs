@@ -12,8 +12,8 @@ use bt_core::attention::{batched_attention, flash_attention, naive_attention};
 use bt_core::config::BertConfig;
 use bt_core::weights::LayerWeights;
 use bt_device::Device;
-use bt_gemm::{gemm_kernel_spec_active, sgemm, sgemm_epilogue, GemmSpec};
-use bt_kernels::activation::{add_bias_gelu_unfused, bias_gelu_epilogue};
+use bt_gemm::{launch_gemm, Epilogue};
+use bt_kernels::activation::add_bias_gelu_unfused;
 use bt_kernels::layernorm::{add_bias_residual_layernorm_fused, add_bias_residual_layernorm_unfused};
 use bt_kernels::layout::{add_bias_unpack_split_qkv, merge_heads_pack};
 use bt_tensor::Tensor;
@@ -52,33 +52,6 @@ pub struct LayerStrategy {
     pub gelu: GeluStyle,
 }
 
-/// Launches one pipeline GEMM (`a: rows×k` times `weight: k×n`), optionally
-/// with a fused epilogue. The launch is costed by
-/// [`gemm_kernel_spec_active`], so the modeled time follows the active
-/// `BYTE_GEMM_PREC` tier; the epilogue adds its flops on top.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn launch_gemm(
-    device: &Device,
-    name: &str,
-    a: &[f32],
-    rows: usize,
-    weight: &[f32],
-    k: usize,
-    n: usize,
-    epilogue: Option<&(dyn Fn(usize, f32) -> f32 + Sync)>,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows * n];
-    let mut spec = gemm_kernel_spec_active(name, rows, n, k);
-    if epilogue.is_some() {
-        spec.cost.flops += (rows * n * 9) as u64;
-    }
-    device.launch(spec, || match epilogue {
-        None => sgemm(GemmSpec::nn(), rows, n, k, a, weight, &mut out),
-        Some(epi) => sgemm_epilogue(GemmSpec::nn(), rows, n, k, a, weight, &mut out, epi),
-    });
-    out
-}
-
 /// Post-attention tail shared by the pipelines: projection, layernorm0,
 /// FFN (+GELU), layernorm1, under the given strategy switches.
 pub(crate) fn post_attention(
@@ -102,7 +75,7 @@ pub(crate) fn post_attention(
         w.attn_out_weight.as_slice(),
         hidden,
         hidden,
-        None,
+        Epilogue::None,
     );
     if strat.layernorm_fused {
         add_bias_residual_layernorm_fused(
@@ -132,35 +105,24 @@ pub(crate) fn post_attention(
         );
     }
 
-    let ffn = match strat.gelu {
-        GeluStyle::Epilogue => {
-            let epi = bias_gelu_epilogue(&w.ffn_up_bias);
-            launch_gemm(
-                device,
-                "gemm2.ffn_up",
-                &attn,
-                rows,
-                w.ffn_up_weight.as_slice(),
-                hidden,
-                inter,
-                Some(&epi),
-            )
-        }
-        GeluStyle::Unfused => {
-            let mut ffn = launch_gemm(
-                device,
-                "gemm2.ffn_up",
-                &attn,
-                rows,
-                w.ffn_up_weight.as_slice(),
-                hidden,
-                inter,
-                None,
-            );
-            add_bias_gelu_unfused(device, "bias_act", &mut ffn, rows, inter, &w.ffn_up_bias);
-            ffn
-        }
-    };
+    let fused = strat.gelu == GeluStyle::Epilogue;
+    let mut ffn = launch_gemm(
+        device,
+        "gemm2.ffn_up",
+        &attn,
+        rows,
+        w.ffn_up_weight.as_slice(),
+        hidden,
+        inter,
+        if fused {
+            Epilogue::BiasGelu(&w.ffn_up_bias)
+        } else {
+            Epilogue::None
+        },
+    );
+    if !fused {
+        add_bias_gelu_unfused(device, "bias_act", &mut ffn, rows, inter, &w.ffn_up_bias);
+    }
 
     let mut out = launch_gemm(
         device,
@@ -170,7 +132,7 @@ pub(crate) fn post_attention(
         w.ffn_down_weight.as_slice(),
         inter,
         hidden,
-        None,
+        Epilogue::None,
     );
     if strat.layernorm_fused {
         add_bias_residual_layernorm_fused(
@@ -226,7 +188,7 @@ pub fn padded_layer(
         w.qkv_weight.as_slice(),
         hidden,
         3 * hidden,
-        None,
+        Epilogue::None,
     );
     let qkv = Tensor::from_vec(qkv, [rows, 3 * hidden]).expect("shape consistent");
     let (q, k, v) = add_bias_unpack_split_qkv(device, &qkv, &w.qkv_bias, &full_idx, config.heads);
@@ -267,7 +229,7 @@ pub fn packed_layer_ft(
         w.qkv_weight.as_slice(),
         hidden,
         3 * hidden,
-        None,
+        Epilogue::None,
     );
     let qkv = Tensor::from_vec(qkv, [rows, 3 * hidden]).expect("shape consistent");
     // FT unpacks around MHA even for its fused kernel: the TRT plugin

@@ -11,11 +11,12 @@
 //!   "threadblock" grid); each task packs its own `A` rows into `MR`-wide
 //!   micropanels, again straight from the `transa` layout;
 //! * each `MR×NR` output block accumulates in microkernel locals across the
-//!   *entire* `K` extent (the "register tile"), and the optional epilogue is
-//!   applied while the accumulator is still hot — which is precisely the
-//!   fusion point the paper uses to hide add-bias + GELU inside the GEMM
-//!   (§III.C.2).
+//!   *entire* `K` extent (the "register tile"), and the [`Epilogue`] is
+//!   applied to each tile row in one vectorized loop while the accumulator
+//!   is still hot — which is precisely the fusion point the paper uses to
+//!   hide add-bias + GELU inside the GEMM (§III.C.2).
 
+use crate::epilogue::{store_row, Epilogue};
 use crate::isa::active_kernel;
 use crate::micro::{pack_a_panel, pack_b_panel, MR_MAX, NR_MAX};
 use crate::scratch::with_worker_scratch;
@@ -75,12 +76,16 @@ impl GemmSpec {
 /// # Panics
 /// Panics if a slice is shorter than its declared shape.
 pub fn sgemm(spec: GemmSpec, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    sgemm_inner(spec, m, n, k, a, b, c, None)
+    sgemm_inner(spec, m, n, k, a, b, c, Epilogue::None)
 }
 
-/// [`sgemm`] with a fused epilogue: each output element `x` at column `j`
-/// is stored as `epilogue(j, x)` while still in the accumulator — the
+/// [`sgemm`] with a fused [`Epilogue`]: each output element is transformed
+/// while still in the accumulator tile, before it is stored — the
 /// register-level reuse of the paper's CUTLASS epilogue fusion.
+///
+/// # Panics
+/// Panics if a slice is shorter than its declared shape, or if an
+/// [`Epilogue::BiasGelu`] bias does not have `n` entries.
 #[allow(clippy::too_many_arguments)]
 pub fn sgemm_epilogue(
     spec: GemmSpec,
@@ -90,41 +95,12 @@ pub fn sgemm_epilogue(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
-    epilogue: &(dyn Fn(usize, f32) -> f32 + Sync),
+    epilogue: Epilogue,
 ) {
-    sgemm_inner(spec, m, n, k, a, b, c, Some(epilogue))
-}
-
-/// Blends one microkernel accumulator row into a `C` row with the
-/// alpha/beta scaling and optional epilogue (`col0` is the row's first
-/// global column, passed to the epilogue hook).
-#[inline]
-fn store_row(
-    c_row: &mut [f32],
-    acc_row: &[f32],
-    col0: usize,
-    alpha: f32,
-    beta: f32,
-    epilogue: Option<&(dyn Fn(usize, f32) -> f32 + Sync)>,
-) {
-    match epilogue {
-        None if beta == 0.0 => {
-            for (cv, &av) in c_row.iter_mut().zip(acc_row) {
-                *cv = alpha * av;
-            }
-        }
-        None => {
-            for (cv, &av) in c_row.iter_mut().zip(acc_row) {
-                *cv = alpha * av + beta * *cv;
-            }
-        }
-        Some(epi) => {
-            for (j, (cv, &av)) in c_row.iter_mut().zip(acc_row).enumerate() {
-                let x = alpha * av + beta * *cv;
-                *cv = epi(col0 + j, x);
-            }
-        }
+    if let Epilogue::BiasGelu(bias) = epilogue {
+        assert_eq!(bias.len(), n, "bias length mismatch");
     }
+    sgemm_inner(spec, m, n, k, a, b, c, epilogue)
 }
 
 /// Records the per-dispatch-path rate inputs `gemm.calls.<isa>.<prec>` and
@@ -139,16 +115,7 @@ fn record_dispatch(isa: &str, prec: &str, m: usize, n: usize, k: usize) {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn sgemm_inner(
-    spec: GemmSpec,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    epilogue: Option<&(dyn Fn(usize, f32) -> f32 + Sync)>,
-) {
+fn sgemm_inner(spec: GemmSpec, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32], epilogue: Epilogue) {
     assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
     assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
     assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
@@ -269,7 +236,7 @@ fn sgemm_lowp(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
-    epilogue: Option<&(dyn Fn(usize, f32) -> f32 + Sync)>,
+    epilogue: Epilogue,
 ) {
     use crate::lowp::{count_pack_bytes, pack_a_panel_lowp, pack_b_panel_lowp};
 
@@ -485,14 +452,14 @@ mod tests {
         let k = 11;
         let a = rand_vec(m * k, 4);
         let b = rand_vec(k * n, 5);
-        let bias: Vec<f32> = (0..n).map(|j| j as f32).collect();
+        let bias: Vec<f32> = (0..n).map(|j| j as f32 - 4.0).collect();
         let mut c1 = vec![0.0f32; m * n];
         let mut c2 = vec![0.0f32; m * n];
-        sgemm_epilogue(GemmSpec::nn(), m, n, k, &a, &b, &mut c1, &|j, x| (x + bias[j]).max(0.0));
+        sgemm_epilogue(GemmSpec::nn(), m, n, k, &a, &b, &mut c1, Epilogue::BiasGelu(&bias));
         gemm_ref(false, false, m, n, k, 1.0, &a, &b, 0.0, &mut c2);
         for i in 0..m {
             for j in 0..n {
-                let expect = (c2[i * n + j] + j as f32).max(0.0);
+                let expect = crate::gelu_tanh(c2[i * n + j] + bias[j]);
                 assert!((c1[i * n + j] - expect).abs() < 1e-4);
             }
         }
@@ -501,10 +468,34 @@ mod tests {
     #[test]
     fn epilogue_applied_when_k_zero() {
         let mut c = vec![1.0f32, -2.0, 3.0, -4.0];
-        sgemm_epilogue(GemmSpec::nn().beta(1.0), 2, 2, 0, &[], &[], &mut c, &|j, x| {
-            x + j as f32 * 10.0
-        });
-        assert_eq!(c, vec![1.0, 8.0, 3.0, 6.0]);
+        sgemm_epilogue(
+            GemmSpec::nn().beta(1.0),
+            2,
+            2,
+            0,
+            &[],
+            &[],
+            &mut c,
+            Epilogue::BiasGelu(&[0.0, 10.0]),
+        );
+        let gelu = crate::gelu_tanh;
+        assert_eq!(c, vec![gelu(1.0), gelu(8.0), gelu(3.0), gelu(6.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "bias length mismatch")]
+    fn epilogue_bias_length_checked() {
+        let mut c = vec![0.0f32; 4];
+        sgemm_epilogue(
+            GemmSpec::nn(),
+            2,
+            2,
+            1,
+            &[1.0; 2],
+            &[1.0; 2],
+            &mut c,
+            Epilogue::BiasGelu(&[0.0; 3]),
+        );
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! 2. **Fused epilogues** (CUTLASS): element-wise transforms applied while
 //!    the result tile is still in registers — add-bias + GELU (§III.C.2) and
 //!    the softmax partial reduction of fused MHA (§III.E.2, Fig. 8).
-//!    [`sgemm_epilogue`] and the grouped-GEMM epilogue hooks reproduce these
-//!    fusion points: the transform runs on the output tile *before* it is
-//!    stored, so the unfused variant's extra global-memory round trip never
-//!    happens.
+//!    [`sgemm_epilogue`] with a closed [`Epilogue`] enum (the add-bias + GELU
+//!    tail, vectorized per tile row) and the grouped-GEMM [`grouped::TileEpilogue`]
+//!    hooks reproduce these fusion points: the transform runs on the output
+//!    tile *before* it is stored, so the unfused variant's extra
+//!    global-memory round trip never happens. [`gelu_tanh`] is the one GELU
+//!    definition every caller in the workspace shares.
 //! 3. **Grouped GEMM** (CUTLASS 2.10, which ByteTransformer itself extended):
 //!    many sub-GEMMs of *arbitrary* shapes walked tile-by-tile by a built-in
 //!    scheduler. [`grouped`] implements the round-robin problem visitor, the
@@ -36,6 +38,7 @@
 
 pub mod batched;
 mod blocked;
+mod epilogue;
 pub mod grouped;
 pub mod isa;
 pub mod lowp;
@@ -46,13 +49,14 @@ mod scratch;
 pub mod store;
 
 pub use blocked::{sgemm, sgemm_epilogue, GemmSpec};
+pub use epilogue::{gelu_tanh, Epilogue};
 pub use isa::{active_isa, available_isas, set_active_isa, Isa};
 pub use lowp::{dot_error_bound, int8_dot_error_bound, lowp_impl, resolve_lowp_kernel, Chain, LowpKernel};
 pub use prec::{active_precision, parse_prec_request, set_active_precision, Precision};
 pub use reference::gemm_ref;
 pub use store::DisjointWriter;
 
-use bt_device::KernelSpec;
+use bt_device::{Device, KernelSpec};
 
 /// Builds the standard [`KernelSpec`] cost for an `m×n×k` GEMM with
 /// `elem_bytes`-wide storage: `2mnk` FLOPs, `(mk + kn)` elements read,
@@ -69,4 +73,30 @@ pub fn gemm_kernel_spec(name: impl Into<String>, m: usize, n: usize, k: usize, e
 /// bytes are what actually stream through the cache hierarchy).
 pub fn gemm_kernel_spec_active(name: impl Into<String>, m: usize, n: usize, k: usize) -> KernelSpec {
     gemm_kernel_spec(name, m, n, k, active_precision().elem_bytes())
+}
+
+/// Launches one pipeline GEMM on `device`: `a` (`rows×k`) times `weight`
+/// (`k×n`) into a fresh `rows×n` buffer, with `epilogue` fused into the
+/// store. The launch is costed by [`gemm_kernel_spec_active`], so the
+/// modeled time follows the active `BYTE_GEMM_PREC` tier; the epilogue adds
+/// its [`Epilogue::flops`] on top and no traffic — that is the entire point
+/// of epilogue fusion.
+#[allow(clippy::too_many_arguments)]
+pub fn launch_gemm(
+    device: &Device,
+    name: &str,
+    a: &[f32],
+    rows: usize,
+    weight: &[f32],
+    k: usize,
+    n: usize,
+    epilogue: Epilogue,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; rows * n];
+    let mut spec = gemm_kernel_spec_active(name, rows, n, k);
+    spec.cost.flops += epilogue.flops(rows, n);
+    device.launch(spec, || {
+        sgemm_epilogue(GemmSpec::nn(), rows, n, k, a, weight, &mut out, epilogue)
+    });
+    out
 }

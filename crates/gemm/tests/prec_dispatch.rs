@@ -10,8 +10,8 @@
 
 use bt_gemm::lowp::{lowp_impl_isas, resolve_lowp_tier};
 use bt_gemm::{
-    active_precision, dot_error_bound, int8_dot_error_bound, lowp_impl, parse_prec_request, resolve_lowp_kernel,
-    set_active_precision, sgemm, GemmSpec, Isa, Precision,
+    active_precision, dot_error_bound, gelu_tanh, int8_dot_error_bound, lowp_impl, parse_prec_request,
+    resolve_lowp_kernel, set_active_precision, sgemm, sgemm_epilogue, Epilogue, GemmSpec, Isa, Precision,
 };
 use bt_tensor::rng::Xoshiro256StarStar;
 
@@ -104,10 +104,32 @@ fn check_sgemm_tracks_reference(prec: Precision, m: usize, n: usize, k: usize) {
     }
 }
 
+/// Asserts `Epilogue::BiasGelu` is bitwise a plain `sgemm` followed by
+/// `gelu_tanh(x + bias[j])` at the active precision and ISA tier.
+fn check_bias_gelu_epilogue_bitwise(prec: Precision, m: usize, n: usize, k: usize, beta: f32) {
+    let a = rand_vec(m * k, 0xC7 + (m * 13 + k) as u64);
+    let b = rand_vec(k * n, 0xD8 + (n * 7 + k) as u64);
+    let bias = rand_vec(n, 0xE9 + n as u64);
+    let spec = GemmSpec::nn().alpha(0.75).beta(beta);
+    let mut fused = rand_vec(m * n, 0xFA);
+    let mut plain = fused.clone();
+    sgemm_epilogue(spec, m, n, k, &a, &b, &mut fused, Epilogue::BiasGelu(&bias));
+    sgemm(spec, m, n, k, &a, &b, &mut plain);
+    for (idx, (f, p)) in fused.iter().zip(&plain).enumerate() {
+        let expect = gelu_tanh(p + bias[idx % n]);
+        assert_eq!(
+            f.to_bits(),
+            expect.to_bits(),
+            "{prec} ({m}x{n}x{k}, beta {beta}) c[{idx}]: fused {f} != plain-then-gelu {expect}"
+        );
+    }
+}
+
 /// First asserts the lazy env selection (check.sh reruns this binary under
 /// every `BYTE_GEMM_PREC` value), then pins each precision programmatically
 /// and verifies dispatch accuracy — including the 1-token and empty shapes
-/// the variable-length serving path produces.
+/// the variable-length serving path produces — and that the fused
+/// bias + GELU epilogue changes no bits against its unfused composition.
 #[test]
 fn env_selection_honored_then_every_precision_dispatches_accurately() {
     let expect = std::env::var("BYTE_GEMM_PREC")
@@ -126,6 +148,12 @@ fn env_selection_honored_then_every_precision_dispatches_accurately() {
         check_sgemm_tracks_reference(prec, 1, 7, 16); // 1-token sequence
         check_sgemm_tracks_reference(prec, 4, 3, 0); // degenerate depth
         check_sgemm_tracks_reference(prec, 0, 5, 8); // empty output
+
+        // Ragged tiles (m % MR != 0, n % NR != 0 for every geometry) and
+        // the degenerate depth with a live beta.
+        check_bias_gelu_epilogue_bitwise(prec, 37, 53, 29, 0.0);
+        check_bias_gelu_epilogue_bitwise(prec, 37, 53, 29, 0.5);
+        check_bias_gelu_epilogue_bitwise(prec, 5, 19, 0, -1.25);
     }
     set_active_precision(expect);
 }

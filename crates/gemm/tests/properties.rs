@@ -11,7 +11,7 @@ use bt_gemm::lowp::{
     pack_a_panel_lowp, pack_b_panel_lowp, quantize_i8,
 };
 use bt_gemm::micro::{pack_a_panel, pack_b_panel};
-use bt_gemm::{gemm_ref, sgemm, sgemm_epilogue, GemmSpec, Precision};
+use bt_gemm::{gelu_tanh, gemm_ref, sgemm, sgemm_epilogue, Epilogue, GemmSpec, Precision};
 use bt_tensor::compare::max_abs_diff;
 use bt_tensor::half::f16;
 use bt_tensor::rng::Xoshiro256StarStar;
@@ -89,20 +89,26 @@ proptest! {
     fn prop_epilogue_composes_with_plain_gemm(
         m in 1usize..24,
         n in 1usize..24,
-        k in 1usize..48,
+        k in 0usize..48,
+        alpha in -2.0f32..2.0,
+        beta in -1.0f32..1.0,
+        zero_beta: bool,
         seed in 0u64..1000,
     ) {
+        // Bitwise: the fused tail is exactly a plain GEMM, then
+        // `gelu_tanh(x + bias[j])` per element.
         let a = rand_vec(m * k, seed);
         let b = rand_vec(k * n, seed + 1);
         let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.1 - 0.5).collect();
-        let mut fused = vec![0.0f32; m * n];
-        sgemm_epilogue(GemmSpec::nn(), m, n, k, &a, &b, &mut fused, &|j, x| (x + bias[j]).tanh());
-        let mut plain = vec![0.0f32; m * n];
-        sgemm(GemmSpec::nn(), m, n, k, &a, &b, &mut plain);
+        let spec = GemmSpec::nn().alpha(alpha).beta(if zero_beta { 0.0 } else { beta });
+        let mut fused = rand_vec(m * n, seed + 2);
+        let mut plain = fused.clone();
+        sgemm_epilogue(spec, m, n, k, &a, &b, &mut fused, Epilogue::BiasGelu(&bias));
+        sgemm(spec, m, n, k, &a, &b, &mut plain);
         for i in 0..m {
             for j in 0..n {
-                let expect = (plain[i * n + j] + bias[j]).tanh();
-                prop_assert!((fused[i * n + j] - expect).abs() < 1e-5);
+                let expect = gelu_tanh(plain[i * n + j] + bias[j]);
+                prop_assert_eq!(fused[i * n + j].to_bits(), expect.to_bits());
             }
         }
     }

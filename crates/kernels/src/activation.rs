@@ -5,21 +5,17 @@
 //! unfused pipeline stores the GEMM output, then launches a kernel that
 //! re-reads it, adds bias, applies GELU, and writes again. ByteTransformer
 //! fuses the element-wise work into the GEMM epilogue so the result "matrix
-//! is held in registers" — [`bias_gelu_epilogue`] builds exactly that
-//! epilogue closure for `bt_gemm::sgemm_epilogue`.
+//! is held in registers" — `bt_gemm::Epilogue::BiasGelu` is exactly that
+//! epilogue, applied to each accumulator tile row before the store.
+//!
+//! Every GELU here is [`gelu_tanh`], re-exported from `bt-gemm`: the fused
+//! epilogue, the kernels below and the test oracles share one definition,
+//! so fused and unfused paths agree bitwise.
 
 use bt_device::{Device, KernelSpec};
 use rayon::prelude::*;
 
-/// √(2/π), the constant of the tanh GELU approximation.
-const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-
-/// GELU, tanh approximation (the form used by BERT and by the paper's
-/// reference \[31\]): `0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`.
-#[inline]
-pub fn gelu_tanh(x: f32) -> f32 {
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044715 * x * x * x)).tanh())
-}
+pub use bt_gemm::gelu_tanh;
 
 /// Exact GELU: `x/2 · (1 + erf(x/√2))`, using a high-accuracy rational
 /// erf approximation (Abramowitz & Stegun 7.1.26, |ε| ≤ 1.5e-7).
@@ -84,7 +80,7 @@ pub fn add_bias_gelu_unfused(device: &Device, name: &str, data: &mut [f32], rows
 /// Fused kernel: **one launch, one pass** — bias-add and GELU applied while
 /// each element is loaded once (the standalone-fused middle ground; the full
 /// ByteTransformer fuses into the GEMM epilogue via
-/// [`bias_gelu_epilogue`]).
+/// `bt_gemm::Epilogue::BiasGelu`).
 ///
 /// # Panics
 /// Panics on shape mismatches.
@@ -105,13 +101,6 @@ pub fn add_bias_gelu_fused(device: &Device, name: &str, data: &mut [f32], rows: 
             });
         },
     );
-}
-
-/// Builds the GEMM-epilogue closure `x ↦ gelu(x + bias[col])` used to hide
-/// add-bias + GELU entirely inside the FFN GEMM (paper: "a customized and
-/// fused CUTLASS epilogue").
-pub fn bias_gelu_epilogue(bias: &[f32]) -> impl Fn(usize, f32) -> f32 + Sync + '_ {
-    move |j, x| gelu_tanh(x + bias[j])
 }
 
 /// Plain add-bias kernel (no activation) — used after the attention output
@@ -211,17 +200,6 @@ mod tests {
         let tensor_bytes = (rows * cols * 4) as u64;
         assert_eq!(dev_u.total_bytes(), 4 * tensor_bytes + (cols * 4) as u64);
         assert_eq!(dev_f.total_bytes(), 2 * tensor_bytes + (cols * 4) as u64);
-    }
-
-    #[test]
-    fn epilogue_closure_matches_fused_kernel() {
-        let cols = 16;
-        let bias: Vec<f32> = (0..cols).map(|j| j as f32 * 0.1).collect();
-        let epi = bias_gelu_epilogue(&bias);
-        for j in 0..cols {
-            let x = -1.0 + j as f32 * 0.3;
-            assert_eq!(epi(j, x), gelu_tanh(x + bias[j]));
-        }
     }
 
     #[test]

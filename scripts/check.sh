@@ -14,6 +14,11 @@ echo "==> cargo test --workspace (BYTE_POOL_THREADS=1)"
 # Width-1 pool: every parallel path must also be correct fully serialized.
 BYTE_POOL_THREADS=1 cargo test --workspace --quiet
 
+echo "==> cargo test --release --manifest-path perfbench/Cargo.toml"
+# The benchmark is a package of its own (an empty [workspace] table), so the
+# workspace runs above never reach its unit tests.
+cargo test --release --manifest-path perfbench/Cargo.toml --quiet
+
 echo "==> cargo test -p rayon --features interleave"
 # Seeded yield points in the deque's steal/pop race windows.
 cargo test -p rayon --features interleave --quiet

@@ -34,8 +34,8 @@ use bt_gemm::grouped::{
 use bt_gemm::isa::{self, Isa};
 use bt_gemm::lowp::{lowp_impl, lowp_impl_isas};
 use bt_gemm::{
-    active_precision, dot_error_bound, int8_dot_error_bound, set_active_precision, sgemm, sgemm_epilogue, GemmSpec,
-    Precision,
+    active_precision, dot_error_bound, int8_dot_error_bound, set_active_precision, sgemm, sgemm_epilogue, Epilogue,
+    GemmSpec, Precision,
 };
 use bt_tensor::rng::Xoshiro256StarStar;
 use bt_tensor::Tensor;
@@ -146,12 +146,12 @@ fn blocked_sgemm_all_tiers() {
 #[test]
 fn blocked_epilogue_all_tiers() {
     let (m, n, k) = (23, 19, 41);
-    differential("sgemm_epilogue gelu-ish", k, || {
+    differential("sgemm_epilogue bias+gelu", k, || {
         let a = rand_vec(m * k, 7);
         let b = rand_vec(k * n, 8);
         let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.1 - 0.5).collect();
         let mut c = vec![0.0f32; m * n];
-        sgemm_epilogue(GemmSpec::nn(), m, n, k, &a, &b, &mut c, &|j, x| (x + bias[j]).tanh());
+        sgemm_epilogue(GemmSpec::nn(), m, n, k, &a, &b, &mut c, Epilogue::BiasGelu(&bias));
         c
     });
 }
